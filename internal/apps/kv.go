@@ -277,6 +277,12 @@ func KV(cfg KVConfig) (*App, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	// One read-only sampler (the zipf CDF and its guide table) serves
+	// every node's streams; each node still regenerates the streams.
+	sampler, err := kvload.NewSampler(cfg.Keys, cfg.Dist)
+	if err != nil {
+		return nil, err
+	}
 	epochs := cfg.Warm + cfg.Measure
 	opsPerEpoch := cfg.Ops / (cfg.Streams * epochs)
 	m := newKVMetrics(cfg.Metrics)
@@ -302,10 +308,6 @@ func KV(cfg KVConfig) (*App, error) {
 
 			// The traffic: every node regenerates all streams from the
 			// seed, so assignment is free to differ from application.
-			sampler, err := kvload.NewSampler(cfg.Keys, cfg.Dist)
-			if err != nil {
-				panic(err) // Validate() makes this unreachable
-			}
 			streams := make([]*kvload.Stream, cfg.Streams)
 			for j := range streams {
 				streams[j] = kvload.NewStream(sampler, cfg.Mix, cfg.Seed, j)

@@ -9,6 +9,7 @@ import (
 	"godsm/internal/kvload"
 	"godsm/internal/metrics"
 	"godsm/internal/netsim"
+	"godsm/internal/sim"
 )
 
 // kvTestConfig is KVSmall trimmed for unit-test latency.
@@ -44,6 +45,32 @@ func TestKVAgreesWithSequential(t *testing.T) {
 				t.Errorf("%v/%d procs: checksum %#x, want %#x", proto, procs, r.Checksum, seq.Checksum)
 			}
 		}
+	}
+}
+
+// TestKVSmallGolden pins KVSmall's bar-u checksum and measured virtual
+// elapsed time on 8 nodes. Both are pure functions of the generated
+// traffic, so a sampler change that perturbs any key — or anything else
+// that moves the protocol's virtual clock — fails here even when every
+// protocol still agrees with the sequential run.
+func TestKVSmallGolden(t *testing.T) {
+	const (
+		wantSum     = uint64(0x3bf70608a784e4ac)
+		wantElapsed = sim.Duration(6632820)
+	)
+	app, err := KV(KVSmall())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := app.Run(8, core.ProtoBarU, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Checksum != wantSum {
+		t.Errorf("checksum %#016x, want %#016x", r.Checksum, wantSum)
+	}
+	if r.Elapsed != wantElapsed {
+		t.Errorf("elapsed %d ns, want %d ns", int64(r.Elapsed), int64(wantElapsed))
 	}
 }
 

@@ -2,6 +2,7 @@ package kvload
 
 import (
 	"math"
+	"sort"
 	"testing"
 )
 
@@ -64,6 +65,54 @@ func FuzzParseMix(f *testing.F) {
 		back, err := ParseMix(m.String())
 		if err != nil || back != m {
 			t.Fatalf("round trip of %q: %+v -> %q -> %+v (%v)", s, m, m.String(), back, err)
+		}
+	})
+}
+
+// FuzzZipfKey holds the guide-table lookup to the plain inverse-CDF
+// search it replaces: for any key space in [1, 1<<16], exponent in
+// (0, 8] and 53-bit draw u, zipfRank(u) must equal
+// sort.SearchFloat64s(cdf, u) exactly. The CDF value at the answer and
+// the float just below it — the two draws that straddle a rank
+// boundary — are checked too.
+func FuzzZipfKey(f *testing.F) {
+	const top = 1<<53 - 1 // u = 1-2^-53, the largest draw
+	f.Add(uint32(1), 0.99, uint64(0))
+	f.Add(uint32(1), 0.99, uint64(top))
+	f.Add(uint32(1<<16), 0.99, uint64(0))
+	f.Add(uint32(1<<16), 0.99, uint64(top))
+	f.Add(uint32(1<<16), 8.0, uint64(top))
+	f.Add(uint32(1000), 8.0, uint64(1)<<52)
+	f.Add(uint32(1000), 0.5, uint64(top))
+	f.Add(uint32(1<<14), 1.2, uint64(12345678901234))
+	// A draw exactly equal to a CDF entry: every float in [0.5, 1) is a
+	// multiple of 2^-53, so the first entry past 0.5 is a reachable u.
+	if s, err := NewSampler(1000, Dist{Kind: DistZipf, S: 0.99}); err == nil {
+		i := sort.SearchFloat64s(s.cdf, 0.5)
+		f.Add(uint32(1000), 0.99, uint64(s.cdf[i]*(1<<53)))
+	}
+	f.Fuzz(func(t *testing.T, keys uint32, exp float64, bits53 uint64) {
+		if math.IsNaN(exp) || math.IsInf(exp, 0) {
+			return
+		}
+		n := 1 + int(keys%(1<<16))
+		exp = math.Mod(math.Abs(exp), 8)
+		if exp == 0 {
+			exp = 8
+		}
+		s, err := NewSampler(n, Dist{Kind: DistZipf, S: exp})
+		if err != nil {
+			t.Fatalf("NewSampler(%d, zipf=%g): %v", n, exp, err)
+		}
+		u := float64(bits53%(1<<53)) / (1 << 53)
+		r := s.zipfRank(u)
+		for _, v := range []float64{u, s.cdf[r], math.Nextafter(s.cdf[r], 0)} {
+			if v >= 1 {
+				continue
+			}
+			if got, want := s.zipfRank(v), sort.SearchFloat64s(s.cdf, v); int(got) != want {
+				t.Fatalf("keys=%d s=%g u=%v: guide lookup %d, sorted search %d", n, exp, v, got, want)
+			}
 		}
 	})
 }

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -267,7 +266,18 @@ func (r *rng) intn(n int) int {
 }
 
 // Sampler draws key ranks from a distribution over a fixed key space.
-// It is immutable after construction and safe to share across streams.
+// It is immutable after construction and safe to share across streams
+// and goroutines: the kv app builds one per App and every node's streams
+// read it.
+//
+// Zipf ranks are drawn by inverting the CDF with a guide table (Chen and
+// Asau's indexed search): guide[j] is the first rank whose cumulative
+// mass reaches j/m, for m buckets, so a draw u in [j/m, (j+1)/m) only
+// searches ranks guide[j]..guide[j+1] — usually none or one. Because m
+// is a power of two, u*m and j/m are exact, and the result is exactly
+// the rank a binary search over the sorted CDF returns
+// (sort.SearchFloat64s(cdf, u)), not an approximation: streams are
+// bit-identical to the plain inverse-CDF sampler.
 type Sampler struct {
 	keys    int
 	kind    DistKind
@@ -276,6 +286,11 @@ type Sampler struct {
 	// cdf is the inclusive cumulative probability of ranks 0..keys-1
 	// (zipf only); cdf[keys-1] == 1.
 	cdf []float64
+	// guide holds m+1 entries for m = the smallest power of two >= keys:
+	// guide[j] is the smallest rank i with cdf[i] >= j/m (zipf only).
+	guide []uint32
+	// buckets is m as a float64, the scale from a draw to its bucket.
+	buckets float64
 }
 
 // NewSampler builds a sampler for the given key-space size.
@@ -303,6 +318,7 @@ func NewSampler(keys int, d Dist) (*Sampler, error) {
 			s.cdf[k] /= sum
 		}
 		s.cdf[keys-1] = 1
+		s.buildGuide()
 	case DistHotset:
 		if d.HotKeys >= keys {
 			// The whole space is hot: degenerate to uniform.
@@ -312,15 +328,46 @@ func NewSampler(keys int, d Dist) (*Sampler, error) {
 	return s, nil
 }
 
+// buildGuide fills the zipf guide table from the finished CDF.
+func (s *Sampler) buildGuide() {
+	m := 1 << bits.Len(uint(s.keys-1))
+	s.buckets = float64(m)
+	s.guide = make([]uint32, m+1)
+	i := 0
+	for j := range s.guide {
+		// j/m is exact; cdf[keys-1] == 1 >= j/m stops the walk in range.
+		for t := float64(j) / s.buckets; s.cdf[i] < t; {
+			i++
+		}
+		s.guide[j] = uint32(i)
+	}
+}
+
 // Keys returns the key-space size.
 func (s *Sampler) Keys() int { return s.keys }
+
+// zipfRank returns the smallest rank i with cdf[i] >= u, for u in [0,1):
+// the answer lies in [guide[j], guide[j+1]] for j = floor(u*m), so only
+// that range is searched.
+func (s *Sampler) zipfRank(u float64) uint32 {
+	j := int(u * s.buckets)
+	lo, hi := s.guide[j], s.guide[j+1]
+	for lo < hi {
+		mid := (lo + hi) >> 1
+		if s.cdf[mid] < u {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
 
 // key draws one rank using the stream's rng.
 func (s *Sampler) key(r *rng) uint32 {
 	switch s.kind {
 	case DistZipf:
-		u := r.float64v()
-		return uint32(sort.SearchFloat64s(s.cdf, u))
+		return s.zipfRank(r.float64v())
 	case DistHotset:
 		// Two draws per op regardless of which side is taken, so the
 		// stream's rng consumption per op is fixed.

@@ -1,16 +1,18 @@
 package kvload
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"testing"
 )
 
 // opBytes serializes a prefix of a stream so determinism can be asserted
 // byte-for-byte, as the issue demands, not just value-for-value.
-func opBytes(t *testing.T, seed uint64, id, n int, d Dist, m Mix) []byte {
+func opBytes(t *testing.T, keys int, seed uint64, id, n int, d Dist, m Mix) []byte {
 	t.Helper()
-	s, err := NewSampler(1<<14, d)
+	s, err := NewSampler(keys, d)
 	if err != nil {
 		t.Fatalf("NewSampler: %v", err)
 	}
@@ -33,16 +35,16 @@ func TestStreamDeterministic(t *testing.T) {
 		{Kind: DistHotset, HotFrac: 0.9, HotKeys: 64},
 	} {
 		m := Mix{Write: 0.2, Scan: 0.05, ScanLen: 16}
-		a := opBytes(t, 42, 3, 4096, d, m)
-		b := opBytes(t, 42, 3, 4096, d, m)
+		a := opBytes(t, 1<<14, 42, 3, 4096, d, m)
+		b := opBytes(t, 1<<14, 42, 3, 4096, d, m)
 		if string(a) != string(b) {
 			t.Errorf("%v: same seed produced different op streams", d)
 		}
-		c := opBytes(t, 43, 3, 4096, d, m)
+		c := opBytes(t, 1<<14, 43, 3, 4096, d, m)
 		if string(a) == string(c) {
 			t.Errorf("%v: different seeds produced identical op streams", d)
 		}
-		e := opBytes(t, 42, 4, 4096, d, m)
+		e := opBytes(t, 1<<14, 42, 4, 4096, d, m)
 		if string(a) == string(e) {
 			t.Errorf("%v: different stream ids produced identical op streams", d)
 		}
@@ -77,6 +79,53 @@ func TestStreamReplay(t *testing.T) {
 		if op.Key >= 1024 {
 			t.Errorf("op %d: key %d outside key space", i, op.Key)
 		}
+	}
+}
+
+// TestStreamGolden pins the generated traffic itself: the SHA-256 of the
+// first 100k ops of one stream per (distribution, key space). The other
+// stream tests compare the code with itself; this one fails if any
+// change to the sampler or the rng draw order perturbs a single op,
+// which would silently shift every kv checksum and virtual time.
+func TestStreamGolden(t *testing.T) {
+	const n = 100_000
+	m := Mix{Write: 0.2, Scan: 0.05, ScanLen: 16}
+	golden := []struct {
+		keys int
+		d    Dist
+		want string
+	}{
+		{1 << 14, Dist{Kind: DistUniform}, "edbbf9c22c0d93040864b0967f5ef1fd243da9a042a1e351c0d7d4dc2dc019f6"},
+		{1 << 14, Dist{Kind: DistZipf, S: 0.5}, "40f006973a7b3c1e64d9d9c8a365134c317aee0eae40b60d6323bf903fc7baf0"},
+		{1 << 14, Dist{Kind: DistZipf, S: 0.99}, "f1a50420b4e1b910a499c9cad605c22f2bfc53d813a31c676307f5c9619da8a6"},
+		{1 << 14, Dist{Kind: DistZipf, S: 1.2}, "375ed1292c751cbefcae610ed264d531dea810d6359e518ba995b0675f0b5ff3"},
+		{1 << 14, Dist{Kind: DistZipf, S: 3}, "7c44300380348ad3ea2cb1a9a69e515c73034eb5912a891aa38c2e775dd8dadb"},
+		{1 << 14, Dist{Kind: DistHotset, HotFrac: 0.9, HotKeys: 64}, "2d47ab9425065d8c445471c8a905fbbe81ce03dc1a2c5f820b58129e97a0add4"},
+		{1 << 16, Dist{Kind: DistUniform}, "eaa13644bd4e53f9f6b42d1eb6582630695a34a96bc6edccb3b1dbd8372b196d"},
+		{1 << 16, Dist{Kind: DistZipf, S: 0.5}, "0002bceb22fa3149e2f0357f43cf94ec361f619b3e12e826c214dfd184833635"},
+		{1 << 16, Dist{Kind: DistZipf, S: 0.99}, "93b4511810f51f9050efcb86128b550be07377094e3834e795b20dd0a4a18552"},
+		{1 << 16, Dist{Kind: DistZipf, S: 1.2}, "36b78595d0823ad966d8a2862d1e920748b5cfde69afa533bafdcda1cada4f76"},
+		{1 << 16, Dist{Kind: DistZipf, S: 3}, "7c44300380348ad3ea2cb1a9a69e515c73034eb5912a891aa38c2e775dd8dadb"},
+		{1 << 16, Dist{Kind: DistHotset, HotFrac: 0.9, HotKeys: 64}, "6e337fb749f18ce9eea29aa185ad5fe1935ad665f949a6decf9cc8e5d5a82d1d"},
+	}
+	for _, g := range golden {
+		sum := sha256.Sum256(opBytes(t, g.keys, 42, 3, n, g.d, m))
+		if got := hex.EncodeToString(sum[:]); got != g.want {
+			t.Errorf("keys=%d %v: stream digest %s, want %s", g.keys, g.d, got, g.want)
+		}
+	}
+}
+
+// TestStreamNextNoAlloc pins the hot path: generating an op from a
+// zipf stream allocates nothing.
+func TestStreamNextNoAlloc(t *testing.T) {
+	s, err := NewSampler(1<<16, Dist{Kind: DistZipf, S: 0.99})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := NewStream(s, DefaultMix(), 1, 0)
+	if allocs := testing.AllocsPerRun(1000, func() { st.Next() }); allocs != 0 {
+		t.Fatalf("zipf Stream.Next allocates %.1f per op, want 0", allocs)
 	}
 }
 
