@@ -34,7 +34,7 @@ func seqTime(b *testing.B, app *apps.App) Duration {
 	if t, ok := benchSeqTimes[app.Name]; ok {
 		return t
 	}
-	rep, err := app.RunSeq(nil)
+	rep, err := app.RunWith(1, Seq, apps.RunOpts{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func benchRun(b *testing.B, app *apps.App, proto ProtocolKind, model *CostModel)
 	var rep *Report
 	for i := 0; i < b.N; i++ {
 		var err error
-		rep, err = app.Run(benchProcs, proto, model)
+		rep, err = app.RunWith(benchProcs, proto, apps.RunOpts{Model: model})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -158,7 +158,7 @@ func BenchmarkAblationStress(b *testing.B) {
 		for _, proto := range []ProtocolKind{BarU, BarM} {
 			tc, proto := tc, proto
 			b.Run(tc.name+"/"+proto.String(), func(b *testing.B) {
-				seqRep, err := app.RunSeq(tc.model)
+				seqRep, err := app.RunWith(1, Seq, apps.RunOpts{Model: tc.model})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -179,7 +179,7 @@ func BenchmarkAblationScale(b *testing.B) {
 				var rep *Report
 				for i := 0; i < b.N; i++ {
 					var err error
-					rep, err = app.Run(procs, BarU, nil)
+					rep, err = app.RunWith(procs, BarU, apps.RunOpts{})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -253,7 +253,7 @@ func BenchmarkAblationPageSize(b *testing.B) {
 			b.Run(app.Name+"/"+strconv.Itoa(ps), func(b *testing.B) {
 				m := cost.Default()
 				m.PageSize = ps
-				seqRep, err := app.RunSeq(m)
+				seqRep, err := app.RunWith(1, Seq, apps.RunOpts{Model: m})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -468,7 +468,7 @@ func BenchmarkCheckDisabled(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(Config{Procs: 2, Protocol: BarU, SegmentBytes: words * 8}, body); err != nil {
+		if _, err := RunWith(body, WithProcs(2), WithSegmentBytes(words*8)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -653,12 +653,10 @@ func (s *server) handleLaunch(w http.ResponseWriter, r *http.Request) {
 		// /v1/runs/{id}/faults can swap fault rules mid-run. netsim's
 		// mutating entry points lock internally, so the handler may call
 		// them from outside the simulation.
-		Configure: func(cfg *core.Config) {
-			cfg.NetHook = func(n *netsim.Net) {
-				ss.mu.Lock()
-				ss.net = n
-				ss.mu.Unlock()
-			}
+		NetHook: func(n *netsim.Net) {
+			ss.mu.Lock()
+			ss.net = n
+			ss.mu.Unlock()
 		},
 	}
 

@@ -327,19 +327,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// would compare incommensurable units. Skip it.
 	var seq *core.Report
 	if *transportName == "" {
-		if seq, err = app.RunSeq(nil); err != nil {
+		if seq, err = app.RunWith(1, core.ProtoSeq, apps.RunOpts{}); err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}
 	}
-	var rep *core.Report
-	if proto == core.ProtoSeq {
-		if opts.Trace == nil && opts.Sinks == nil && !opts.Timeline && !opts.PageStats && opts.Metrics == nil {
-			rep = seq
-		} else {
-			rep, err = app.RunSeqWith(opts)
-		}
-	} else {
+	// A seq run with nothing to observe is the baseline already measured.
+	rep := seq
+	if proto != core.ProtoSeq || opts.Trace != nil || opts.Sinks != nil || opts.Timeline || opts.PageStats || opts.Metrics != nil {
 		rep, err = app.RunWith(*procs, proto, opts)
 	}
 	if err != nil {

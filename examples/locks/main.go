@@ -50,13 +50,13 @@ func taskFarm(p *godsm.Proc) {
 
 func main() {
 	seg := (1024 + tasks + 1024) * 8
-	seq, err := godsm.Run(godsm.Config{Procs: 1, Protocol: godsm.Seq, SegmentBytes: seg}, taskFarm)
+	seq, err := godsm.RunWith(taskFarm, godsm.WithProtocol(godsm.Seq), godsm.WithSegmentBytes(seg))
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("lock-based task farm, %d tasks, %d workers\n\n", tasks, workers)
 	for _, proto := range []godsm.ProtocolKind{godsm.LmwI, godsm.LmwU} {
-		rep, err := godsm.Run(godsm.Config{Procs: workers, Protocol: proto, SegmentBytes: seg}, taskFarm)
+		rep, err := godsm.RunWith(taskFarm, godsm.WithProcs(workers), godsm.WithProtocol(proto), godsm.WithSegmentBytes(seg))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -70,7 +70,7 @@ func main() {
 	// The home-based protocols are barrier-only: "by limiting the protocol
 	// to codes that only use barrier synchronization, we can prevent any
 	// diff or consistency state from living past the next barrier."
-	if _, err := godsm.Run(godsm.Config{Procs: workers, Protocol: godsm.BarU, SegmentBytes: seg}, taskFarm); err != nil {
+	if _, err := godsm.RunWith(taskFarm, godsm.WithProcs(workers), godsm.WithProtocol(godsm.BarU), godsm.WithSegmentBytes(seg)); err != nil {
 		fmt.Printf("\nbar-u refused, as designed: %v\n", err)
 	} else {
 		log.Fatal("bar-u unexpectedly accepted locks")
@@ -79,8 +79,8 @@ func main() {
 	// Garbage collection bounds the homeless protocols' appetite for diffs
 	// (here keyed to barriers; the task farm itself is lock-only, so we add
 	// a barrier-using epilogue via the stencil apps — see cmd/dsmrun).
-	cfg := godsm.Config{Procs: workers, Protocol: godsm.LmwI, SegmentBytes: seg, LmwGCBarriers: 1}
-	rep, err := godsm.Run(cfg, taskFarm)
+	rep, err := godsm.RunWith(taskFarm, godsm.WithProcs(workers), godsm.WithProtocol(godsm.LmwI), godsm.WithSegmentBytes(seg),
+		godsm.WithConfig(func(c *godsm.Config) { c.LmwGCBarriers = 1 }))
 	if err != nil {
 		log.Fatal(err)
 	}

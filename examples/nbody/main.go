@@ -22,14 +22,14 @@ func main() {
 		Dt:        0.025,
 	})
 
-	seq, err := app.RunSeq(nil)
+	seq, err := app.RunWith(1, godsm.Seq, apps.RunOpts{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("barnes-hut, %d bodies, 8 simulated nodes (sequential %v)\n\n", 2048, seq.Elapsed)
 	fmt.Printf("%-8s %8s %8s %10s %8s\n", "protocol", "speedup", "misses", "updates", "dataKB")
 	for _, proto := range []godsm.ProtocolKind{godsm.LmwI, godsm.LmwU, godsm.BarI, godsm.BarU} {
-		rep, err := app.Run(8, proto, nil)
+		rep, err := app.RunWith(8, proto, apps.RunOpts{})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -42,16 +42,12 @@ func main() {
 
 	// The registry knows barnes's sharing pattern drifts and refuses the
 	// overdrive protocols up front.
-	if _, err := app.Run(8, godsm.BarS, nil); err != nil {
+	if _, err := app.RunWith(8, godsm.BarS, apps.RunOpts{}); err != nil {
 		fmt.Printf("\nbar-s refused: %v\n", err)
 	}
 	// Forcing the issue shows the protocol-level safety net: the drifting
 	// write set diverges from the learned histories and the run aborts.
-	if _, err := godsm.Run(godsm.Config{
-		Procs:        8,
-		Protocol:     godsm.BarS,
-		SegmentBytes: app.SegmentBytes,
-	}, app.Body); err != nil {
+	if _, err := godsm.RunWith(app.Body, godsm.WithProtocol(godsm.BarS), godsm.WithSegmentBytes(app.SegmentBytes)); err != nil {
 		fmt.Printf("forced bar-s aborted: %v\n", err)
 	} else {
 		log.Fatal("forced bar-s unexpectedly survived a dynamic pattern")

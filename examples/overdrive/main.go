@@ -57,13 +57,15 @@ func figure5(diverge bool) func(*godsm.Proc) {
 }
 
 func main() {
-	cfg := godsm.Config{Procs: 4, SegmentBytes: 2 * pageWords * 8, CheckOverdrive: true}
+	run := func(proto godsm.ProtocolKind, body func(*godsm.Proc)) (*godsm.Report, error) {
+		return godsm.RunWith(body, godsm.WithProcs(4), godsm.WithProtocol(proto), godsm.WithSegmentBytes(2*pageWords*8),
+			godsm.WithConfig(func(c *godsm.Config) { c.CheckOverdrive = true }))
+	}
 
 	fmt.Println("Figure 5 walkthrough: w(x) after barrier 1, w(y) after barrier 2")
 	fmt.Printf("%-8s %8s %10s %8s  %s\n", "protocol", "segvs", "mprotects", "twins", "note")
 	for _, proto := range []godsm.ProtocolKind{godsm.BarU, godsm.BarS, godsm.BarM} {
-		cfg.Protocol = proto
-		rep, err := godsm.Run(cfg, figure5(false))
+		rep, err := run(proto, figure5(false))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -78,8 +80,7 @@ func main() {
 
 	fmt.Println("\nnow the pattern diverges mid-overdrive (w(y) in x's epoch):")
 	for _, proto := range []godsm.ProtocolKind{godsm.BarS, godsm.BarM} {
-		cfg.Protocol = proto
-		_, err := godsm.Run(cfg, figure5(true))
+		_, err := run(proto, figure5(true))
 		if err == nil {
 			log.Fatalf("%v: divergence went undetected", proto)
 		}

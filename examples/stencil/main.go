@@ -64,14 +64,15 @@ func jacobi(p *godsm.Proc) {
 }
 
 func main() {
-	seq, err := godsm.Run(godsm.Config{Procs: 1, Protocol: godsm.Seq, SegmentBytes: 2 * size * size * 8}, jacobi)
+	seg := godsm.WithSegmentBytes(2 * size * size * 8)
+	seq, err := godsm.RunWith(jacobi, godsm.WithProtocol(godsm.Seq), seg)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("jacobi %dx%d on 8 simulated nodes (sequential time %v)\n\n", size, size, seq.Elapsed)
 	fmt.Printf("%-8s %8s %8s %8s %10s %8s\n", "protocol", "speedup", "misses", "segvs", "mprotects", "dataKB")
 	for _, proto := range godsm.Protocols() {
-		rep, err := godsm.Run(godsm.Config{Procs: 8, Protocol: proto, SegmentBytes: 2 * size * size * 8}, jacobi)
+		rep, err := godsm.RunWith(jacobi, godsm.WithProtocol(proto), seg)
 		if err != nil {
 			log.Fatal(err)
 		}

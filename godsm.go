@@ -5,7 +5,7 @@
 //
 // The package re-exports the engine's public surface:
 //
-//   - Run executes an SPMD body on a simulated cluster under one of six
+//   - RunWith executes an SPMD body on a simulated cluster under one of six
 //     coherence protocols: the homeless multi-writer lazy-release-
 //     consistency protocols LmwI and LmwU, the home-based barrier
 //     protocols BarI and BarU, and the "overdrive" protocols BarS and
@@ -23,7 +23,7 @@
 // the experiment harness that regenerates the paper's tables and figures
 // lives in internal/repro and is driven by cmd/repro.
 //
-// A minimal program, using the functional-options entry point:
+// A minimal program:
 //
 //	report, err := godsm.RunWith(func(p *godsm.Proc) {
 //	    a := p.AllocF64(1024)
@@ -36,14 +36,12 @@
 //	    // ... iterate, read halos, write your partition ...
 //	}, godsm.WithProcs(4), godsm.WithProtocol(godsm.BarU), godsm.WithSegmentBytes(1<<20))
 //
-// RunWith (options.go) is the preferred surface; Run and RunContext with a
-// literal Config remain supported as the secondary, fully-explicit path
-// for callers that build configurations programmatically.
+// RunWith and RunWithContext (options.go) are the only entry points. Each
+// option sets fields of one Config; WithConfig reaches any field without
+// a dedicated option.
 package godsm
 
 import (
-	"context"
-
 	"godsm/internal/core"
 	"godsm/internal/cost"
 	"godsm/internal/metrics"
@@ -138,40 +136,12 @@ const (
 	Second      = sim.Second
 )
 
-// Run executes body on cfg.Procs simulated nodes under cfg.Protocol. The
-// body runs once per node (SPMD); all nodes must perform identical Alloc
-// and Barrier sequences. Most callers should prefer RunWith.
-func Run(cfg Config, body func(*Proc)) (*Report, error) {
-	return core.Run(cfg, body)
-}
-
-// RunContext is Run with cancellation: when ctx is cancelled mid-run the
-// simulation stops at its next event and ctx's error is returned.
-// Cancellation is for shutting down (SIGINT on a sweep), not for running
-// many aborted simulations in a loop — a cancelled run's simulated
-// process goroutines stay parked until process exit.
-func RunContext(ctx context.Context, cfg Config, body func(*Proc)) (*Report, error) {
-	return core.RunContext(ctx, cfg, body)
-}
-
 // ConformancePlan builds the seeded fault schedule the conformance
 // harness runs proto under: moderate drop, duplication and reordering on
 // every packet, with the overdrive protocols' update flushes shielded
 // from drops (they have no invalidation fallback for a lost flush).
 func ConformancePlan(proto ProtocolKind, seed int64) *FaultPlan {
 	return core.ConformancePlan(proto, seed)
-}
-
-// UpdateLossPlan builds the FaultPlan the retired Config.UpdateLossRate /
-// Config.Seed fields used to synthesize: base (copied, never mutated; nil
-// for none) extended with a rule dropping rate of the unacknowledged
-// update flushes, seeded with seed.
-//
-// Deprecated: one-release compat adapter for callers migrating off the
-// removed Config fields. New code should build a FaultPlan targeting the
-// message classes it wants directly.
-func UpdateLossPlan(rate float64, seed int64, base *FaultPlan) *FaultPlan {
-	return core.UpdateLossPlan(rate, seed, base)
 }
 
 // Protocols lists the paper's six protocols in presentation order.

@@ -33,7 +33,7 @@ func TestQuickstart(t *testing.T) {
 		p.SetResult(uint64(total[0]))
 	}
 	for _, proto := range Protocols() {
-		rep, err := Run(Config{Procs: 4, Protocol: proto, SegmentBytes: n * 8}, body)
+		rep, err := RunWith(body, WithProcs(4), WithProtocol(proto), WithSegmentBytes(n*8))
 		if err != nil {
 			t.Fatalf("%v: %v", proto, err)
 		}
@@ -97,7 +97,7 @@ func TestSharedWriteVisibilityProperty(t *testing.T) {
 				}
 				p.SetResult(1)
 			}
-			if _, err := Run(Config{Procs: 3, Protocol: proto, SegmentBytes: len(vals) * 8}, body); err != nil {
+			if _, err := RunWith(body, WithProcs(3), WithProtocol(proto), WithSegmentBytes(len(vals)*8)); err != nil {
 				return false
 			}
 			if !ok {

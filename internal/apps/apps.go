@@ -25,11 +25,7 @@ import (
 	"strings"
 
 	"godsm/internal/core"
-	"godsm/internal/cost"
-	"godsm/internal/metrics"
-	"godsm/internal/netsim"
 	"godsm/internal/sim"
-	"godsm/internal/trace"
 )
 
 // App describes one benchmark application.
@@ -42,7 +38,7 @@ type App struct {
 	SegmentBytes int
 	// Warm and Measure are the uninstrumented and measured iteration
 	// counts. Warm must cover initialization, home migration and overdrive
-	// learning (>= LearnIters+1).
+	// learning (>= 3: overdrive engages at the second iteration boundary).
 	Warm, Measure int
 	// Body is the SPMD program.
 	Body func(p *core.Proc)
@@ -57,96 +53,33 @@ type App struct {
 	BarriersPerIter int
 }
 
-// RunOpts carries the run options that compose with an App's own
-// configuration (segment size, body, dynamic-pattern checks). Callers that
-// previously hand-built a core.Config to attach tracing — and silently
-// dropped the app-level checks — should use RunWith instead.
-type RunOpts struct {
-	// Model is the virtual-time cost model; nil selects cost.Default().
-	Model *cost.Model
-	// Trace, when non-nil, records protocol events into the bounded log.
-	Trace *trace.Log
-	// Sinks receive every trace event (streaming exporters; internal/obs).
-	Sinks []trace.Sink
-	// Timeline attaches the per-epoch statistics history to the Report.
-	Timeline bool
-	// PageStats attaches per-page attribution to the Report.
-	PageStats bool
-	// Faults, when non-nil, arms deterministic network fault injection and
-	// the core reliability layer (see netsim.FaultPlan).
-	Faults *netsim.FaultPlan
-	// Check attaches a consistency checker (internal/check's oracle): it
-	// observes every store and barrier completion, and its Finish error
-	// fails the run.
-	Check core.Checker
-	// Transport, when non-"", runs the cluster over the named real
-	// transport backend ("mem", "udp" or "tcp"; see internal/transport's
-	// registry) on the wall-clock scheduler instead of the virtual-time
-	// simulator. Ignored for the sequential baseline, which has no remote
-	// traffic.
-	Transport string
-	// KernelWorkers, in sim mode, shards the discrete-event kernel by
-	// node and drives it with this many workers under conservative
-	// lookahead (core.Config.KernelWorkers). Results stay bit-identical
-	// to the sequential kernel. Ignored for the sequential baseline.
-	KernelWorkers int
-	// Metrics, when non-nil, accumulates run counters and histograms into
-	// the registry (see core.Config.Metrics). The registry outlives the
-	// run, so a server can aggregate across many sessions.
-	Metrics *metrics.Registry
-	// Configure, when non-nil, runs last over the assembled core.Config,
-	// an escape hatch for options RunOpts does not name.
-	Configure func(*core.Config)
-}
+// RunOpts is the run description an App composes with its own
+// configuration (segment size, body, dynamic-pattern checks): every
+// core.Config field except Procs, Protocol and SegmentBytes, which
+// RunWithContext sets from its arguments and the App.
+type RunOpts = core.Config
 
-// Run executes the app under the given protocol and cluster size.
-func (a *App) Run(procs int, proto core.ProtocolKind, model *cost.Model) (*core.Report, error) {
-	return a.RunWith(procs, proto, RunOpts{Model: model})
-}
-
-// RunWith executes the app with full observability options.
+// RunWith executes the app; see RunWithContext.
 func (a *App) RunWith(procs int, proto core.ProtocolKind, opts RunOpts) (*core.Report, error) {
 	return a.RunWithContext(context.Background(), procs, proto, opts)
 }
 
-// RunWithContext is RunWith with cancellation: ctx aborts the run between
-// simulation events (core.RunContext semantics), which is how a server
-// cancels a session mid-flight.
+// RunWithContext executes the app on procs nodes under proto, with every
+// other setting taken from opts. It overwrites opts' Procs, Protocol and
+// SegmentBytes. proto == core.ProtoSeq is the uniprocessor baseline
+// (synchronization nulled out): it runs on one node in sim, whatever
+// procs, opts.Transport and opts.KernelWorkers say. ctx aborts the run
+// between simulation events (core.RunContext semantics), which is how a
+// server cancels a session mid-flight.
 func (a *App) RunWithContext(ctx context.Context, procs int, proto core.ProtocolKind, opts RunOpts) (*core.Report, error) {
 	if a.Dynamic && (proto == core.ProtoBarS || proto == core.ProtoBarM) {
 		return nil, fmt.Errorf("apps: %s has a dynamic sharing pattern; %v would abort (the paper excludes it)", a.Name, proto)
 	}
-	cfg := core.Config{
-		Procs:        procs,
-		Protocol:     proto,
-		SegmentBytes: a.SegmentBytes,
-		Model:        opts.Model,
-		Trace:        opts.Trace,
-		Sinks:        opts.Sinks,
-		Timeline:     opts.Timeline,
-		PageStats:    opts.PageStats,
-		Faults:       opts.Faults,
-		Check:        opts.Check,
-		Metrics:      opts.Metrics,
+	opts.Procs, opts.Protocol, opts.SegmentBytes = procs, proto, a.SegmentBytes
+	if proto == core.ProtoSeq {
+		opts.Procs, opts.Transport, opts.KernelWorkers = 1, "", 0
 	}
-	if proto != core.ProtoSeq {
-		cfg.Transport = opts.Transport
-		cfg.KernelWorkers = opts.KernelWorkers
-	}
-	if opts.Configure != nil {
-		opts.Configure(&cfg)
-	}
-	return core.RunContext(ctx, cfg, a.Body)
-}
-
-// RunSeq executes the uniprocessor baseline (synchronization nulled out).
-func (a *App) RunSeq(model *cost.Model) (*core.Report, error) {
-	return a.Run(1, core.ProtoSeq, model)
-}
-
-// RunSeqWith executes the uniprocessor baseline with observability options.
-func (a *App) RunSeqWith(opts RunOpts) (*core.Report, error) {
-	return a.RunWith(1, core.ProtoSeq, opts)
+	return core.RunContext(ctx, opts, a.Body)
 }
 
 // All returns the paper's eight applications at paper-like scale, in

@@ -5,6 +5,7 @@ import (
 
 	"godsm/internal/core"
 	"godsm/internal/cost"
+	"godsm/internal/netsim"
 )
 
 // TestAppsAgreeWithSequential verifies the central property for every
@@ -15,7 +16,7 @@ func TestAppsAgreeWithSequential(t *testing.T) {
 		app := app
 		t.Run(app.Name, func(t *testing.T) {
 			t.Parallel()
-			seq, err := app.RunSeq(nil)
+			seq, err := app.RunWith(1, core.ProtoSeq, RunOpts{})
 			if err != nil {
 				t.Fatalf("seq: %v", err)
 			}
@@ -27,7 +28,7 @@ func TestAppsAgreeWithSequential(t *testing.T) {
 					continue
 				}
 				for _, procs := range []int{2, 4} {
-					r, err := app.Run(procs, proto, nil)
+					r, err := app.RunWith(procs, proto, RunOpts{})
 					if err != nil {
 						t.Fatalf("%v/%d: %v", proto, procs, err)
 					}
@@ -40,15 +41,60 @@ func TestAppsAgreeWithSequential(t *testing.T) {
 	}
 }
 
+// TestRunWithConfig holds RunWith to its contract: every RunOpts field
+// reaches core unchanged, and the sequential baseline runs on one simulated
+// node whatever procs, transport and kernel workers were asked for.
+func TestRunWithConfig(t *testing.T) {
+	jacobi := Jacobi(JacobiSmall())
+	ref, err := jacobi.RunWith(1, core.ProtoSeq, RunOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq, err := jacobi.RunWith(8, core.ProtoSeq, RunOpts{Transport: "udp", KernelWorkers: 2})
+	if err != nil {
+		t.Fatalf("seq with procs/transport/workers set: %v", err)
+	}
+	if seq.Procs != 1 || seq.FrameBytes != 0 || seq.Elapsed != ref.Elapsed || seq.Checksum != ref.Checksum {
+		t.Errorf("seq with procs/transport/workers set: %d procs, %d frame bytes, elapsed %v, checksum %#x; want the 1-node sim baseline (elapsed %v, checksum %#x)",
+			seq.Procs, seq.FrameBytes, seq.Elapsed, seq.Checksum, ref.Elapsed, ref.Checksum)
+	}
+
+	hooked := 0
+	if _, err := jacobi.RunWith(4, core.ProtoBarU, RunOpts{NetHook: func(*netsim.Net) { hooked++ }}); err != nil {
+		t.Fatal(err)
+	}
+	if hooked != 1 {
+		t.Errorf("NetHook called %d times, want 1", hooked)
+	}
+
+	// Home migration happens during warm-up, outside the measurement
+	// window, so it shows in Elapsed rather than in HomeMigrations.
+	expl := Expl(ExplSmall())
+	migrated, err := expl.RunWith(8, core.ProtoBarU, RunOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	static, err := expl.RunWith(8, core.ProtoBarU, RunOpts{DisableMigration: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if static.Elapsed == migrated.Elapsed {
+		t.Errorf("DisableMigration left elapsed unchanged at %v", static.Elapsed)
+	}
+	if static.Checksum != migrated.Checksum {
+		t.Errorf("DisableMigration changed the checksum: %#x, want %#x", static.Checksum, migrated.Checksum)
+	}
+}
+
 func TestDynamicAppRejectsOverdrive(t *testing.T) {
 	barnes := Small()[0]
 	if !barnes.Dynamic {
 		t.Fatal("barnes must be marked dynamic")
 	}
-	if _, err := barnes.Run(4, core.ProtoBarS, nil); err == nil {
+	if _, err := barnes.RunWith(4, core.ProtoBarS, RunOpts{}); err == nil {
 		t.Fatal("bar-s accepted a dynamic app")
 	}
-	if _, err := barnes.Run(4, core.ProtoBarM, nil); err == nil {
+	if _, err := barnes.RunWith(4, core.ProtoBarM, RunOpts{}); err == nil {
 		t.Fatal("bar-m accepted a dynamic app")
 	}
 }
@@ -114,7 +160,7 @@ func TestStencilAppsMissFreeUnderBarU(t *testing.T) {
 		app := app
 		t.Run(app.Name, func(t *testing.T) {
 			t.Parallel()
-			r, err := app.Run(4, core.ProtoBarU, nil)
+			r, err := app.RunWith(4, core.ProtoBarU, RunOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -135,11 +181,11 @@ func TestOverdriveQuietUnderBarM(t *testing.T) {
 		app := app
 		t.Run(app.Name, func(t *testing.T) {
 			t.Parallel()
-			bu, err := app.Run(4, core.ProtoBarU, nil)
+			bu, err := app.RunWith(4, core.ProtoBarU, RunOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			bm, err := app.Run(4, core.ProtoBarM, nil)
+			bm, err := app.RunWith(4, core.ProtoBarM, RunOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -165,11 +211,11 @@ func TestIdealOSShrinksBarMGain(t *testing.T) {
 	// stays under the stress threshold.
 	app := SWM(SWMDefault())
 	gain := func(m *cost.Model) float64 {
-		bu, err := app.Run(4, core.ProtoBarU, m)
+		bu, err := app.RunWith(4, core.ProtoBarU, RunOpts{Model: m})
 		if err != nil {
 			t.Fatal(err)
 		}
-		bm, err := app.Run(4, core.ProtoBarM, m)
+		bm, err := app.RunWith(4, core.ProtoBarM, RunOpts{Model: m})
 		if err != nil {
 			t.Fatal(err)
 		}

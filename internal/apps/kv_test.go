@@ -28,7 +28,7 @@ func TestKVAgreesWithSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := app.RunSeq(nil)
+	seq, err := app.RunWith(1, core.ProtoSeq, RunOpts{})
 	if err != nil {
 		t.Fatalf("seq: %v", err)
 	}
@@ -37,7 +37,7 @@ func TestKVAgreesWithSequential(t *testing.T) {
 	}
 	for _, proto := range core.Protocols() {
 		for _, procs := range []int{2, 4} {
-			r, err := app.Run(procs, proto, nil)
+			r, err := app.RunWith(procs, proto, RunOpts{})
 			if err != nil {
 				t.Fatalf("%v/%d: %v", proto, procs, err)
 			}
@@ -62,7 +62,7 @@ func TestKVSmallGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := app.Run(8, core.ProtoBarU, nil)
+	r, err := app.RunWith(8, core.ProtoBarU, RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestKVLocksMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := plain.RunSeq(nil)
+	seq, err := plain.RunWith(1, core.ProtoSeq, RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestKVLocksMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, proto := range []core.ProtocolKind{core.ProtoLmwI, core.ProtoLmwU} {
-		r, err := app.Run(4, proto, nil)
+		r, err := app.RunWith(4, proto, RunOpts{})
 		if err != nil {
 			t.Fatalf("%v: %v", proto, err)
 		}
@@ -138,7 +138,7 @@ func TestKVLocksMode(t *testing.T) {
 	}
 	// The home-based protocols are barrier-only; the engine must reject
 	// the lock primitives rather than mishandle them.
-	if _, err := app.Run(4, core.ProtoBarU, nil); err == nil {
+	if _, err := app.RunWith(4, core.ProtoBarU, RunOpts{}); err == nil {
 		t.Error("bar-u accepted per-shard locks")
 	}
 }
@@ -154,7 +154,7 @@ func TestKVBackendParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := app.Run(4, core.ProtoBarU, nil)
+	ref, err := app.RunWith(4, core.ProtoBarU, RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestKVMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := app.Run(2, core.ProtoBarU, nil); err != nil {
+	if _, err := app.RunWith(2, core.ProtoBarU, RunOpts{}); err != nil {
 		t.Fatal(err)
 	}
 	r := cfg.Metrics

@@ -35,10 +35,6 @@ type Options struct {
 	// TailSize bounds the trace ring replayed into a divergence report.
 	// Default 64.
 	TailSize int
-	// Configure, when non-nil, adjusts each run's Config after the
-	// harness fills it (e.g. LearnIters); it must not change Procs,
-	// Protocol, Faults, Check or Trace.
-	Configure func(*core.Config)
 	// Transport, when non-"", runs every protocol variant over the named
 	// real transport backend ("mem", "udp" or "tcp"; see
 	// internal/transport's registry) instead of the virtual wire; the
@@ -181,9 +177,6 @@ func (opts *Options) config(proto core.ProtocolKind, plan *netsim.FaultPlan) cor
 	if proto != core.ProtoSeq {
 		cfg.Transport = opts.Transport
 		cfg.KernelWorkers = opts.KernelWorkers
-	}
-	if opts.Configure != nil {
-		opts.Configure(&cfg)
 	}
 	return cfg
 }

@@ -36,6 +36,13 @@ const (
 	barModeA
 )
 
+// learnIters is the learning window in application iterations: home
+// migration happens at the first iteration boundary and overdrive
+// (bar-s/bar-m) engages at the second. This matches the paper ("migrate
+// pages before the second iteration begins"; overdrive "after gathering
+// information for some period of time").
+const learnIters = 2
+
 func (m barMode) update() bool    { return m != barModeI }
 func (m barMode) overdrive() bool { return m == barModeS || m == barModeM || m == barModeA }
 
@@ -754,7 +761,7 @@ func (b *bar) consumeUpdates(r *barReleaseBar) {
 				// cannot be probed — their subscription is left alone.
 				if !b.probe[pg] && !b.inval[pg] && b.subscr[pg] &&
 					b.home[pg] != n.id && !b.isDirty[pg] && !b.isHomeDirty[pg] &&
-					n.as.Prot(pg) == vm.Read && n.iter+1 >= n.clu.cfg.LearnIters {
+					n.as.Prot(pg) == vm.Read && n.iter+1 >= learnIters {
 					b.probe[pg] = true
 					if b.armIter[pg] < 0 {
 						b.armIter[pg] = int32(n.iter)
@@ -1029,10 +1036,10 @@ func (b *bar) iterBoundary() {
 		// Homes migrate at the next barrier; learn from the post-migration
 		// iterations.
 		b.learning = true
-	case n.iter == n.clu.cfg.LearnIters && !b.odActive:
+	case n.iter == learnIters && !b.odActive:
 		b.odPending = true
 	}
-	if b.mode == barModeA && n.iter >= n.clu.cfg.LearnIters {
+	if b.mode == barModeA && n.iter >= learnIters {
 		b.adaptDecide()
 	}
 }

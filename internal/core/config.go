@@ -103,13 +103,6 @@ type Config struct {
 	SegmentBytes int
 	// Model is the virtual-time cost model; nil selects cost.Default().
 	Model *cost.Model
-	// LearnIters is the number of initial application iterations used as
-	// the learning window: home migration happens at the first iteration
-	// boundary and overdrive (bar-s/bar-m) engages at the second. The
-	// default of 2 matches the paper ("migrate pages before the second
-	// iteration begins"; overdrive "after gathering information for some
-	// period of time").
-	LearnIters int
 	// Faults, when non-nil, arms deterministic network fault injection
 	// (drop/duplicate/delay by kind, node pair or epoch window, plus
 	// straggler slowdowns) and with it the reliability layer: tracked,
@@ -117,14 +110,6 @@ type Config struct {
 	// Nil (the default) leaves the interconnect perfectly reliable and
 	// every reliability hook a no-op.
 	Faults *netsim.FaultPlan
-	// UpdateWaitTimeout bounds how long a bar-u consumer waits inside the
-	// barrier for update flushes when the network is lossy. Zero selects
-	// 20ms — generous relative to any wire time, so it only fires for
-	// genuinely lost flushes.
-	UpdateWaitTimeout sim.Duration
-	// RetryTimeout is the reliability layer's base retransmission timeout;
-	// it doubles per retry (capped at 128x). Zero selects 5ms.
-	RetryTimeout sim.Duration
 	// CheckOverdrive enables the (zero-virtual-cost) divergence checker
 	// that verifies bar-m's unsound assumption: every steady-state write
 	// hits a predicted page. Violations abort the run, mirroring the
@@ -264,15 +249,6 @@ func (c *Config) fill() error {
 	if c.Model == nil {
 		c.Model = cost.Default()
 	}
-	if c.LearnIters == 0 {
-		c.LearnIters = 2
-	}
-	if c.UpdateWaitTimeout == 0 {
-		c.UpdateWaitTimeout = 20 * sim.Millisecond
-	}
-	if c.RetryTimeout == 0 {
-		c.RetryTimeout = 5 * sim.Millisecond
-	}
 	if c.Transport != "" {
 		e, ok := transport.Lookup(c.Transport)
 		if !ok {
@@ -330,28 +306,4 @@ func ConformancePlan(proto ProtocolKind, seed int64) *netsim.FaultPlan {
 		Delay:   200 * sim.Microsecond,
 	})
 	return plan
-}
-
-// UpdateLossPlan builds the FaultPlan the retired Config.UpdateLossRate /
-// Config.Seed fields used to synthesize: base (copied, never mutated; nil
-// for none) extended with a rule dropping rate of the unacknowledged
-// update flushes (lmw-u and bar-u consumer updates), seeded with seed.
-// The paper argues lost flushes cost only performance, never correctness.
-//
-// Deprecated: one-release compat adapter for callers migrating off the
-// removed Config fields. New code should build a netsim.FaultPlan
-// targeting the message classes it wants directly.
-func UpdateLossPlan(rate float64, seed int64, base *netsim.FaultPlan) *netsim.FaultPlan {
-	plan := netsim.FaultPlan{Seed: seed}
-	if base != nil {
-		plan = *base
-		plan.Rules = append([]netsim.FaultRule(nil), base.Rules...)
-	}
-	plan.Rules = append(plan.Rules, netsim.FaultRule{
-		Kinds: []int{mkUpdateFlush, mkLmwFlush},
-		From:  netsim.AnyNode,
-		To:    netsim.AnyNode,
-		Drop:  rate,
-	})
-	return &plan
 }

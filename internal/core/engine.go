@@ -616,9 +616,9 @@ func (n *node) sendRequest(dst int, kind, size int, data any) {
 }
 
 // sendFlush transmits an unacknowledged flush (update) message. Loss is
-// injected by the netsim fault plan (Config.Faults; the legacy
-// UpdateLossRate knob maps onto it via UpdateLossPlan): a lost flush
-// harms only performance, so flushes are never tracked or retransmitted.
+// injected by the netsim fault plan (Config.Faults, with a rule naming the
+// flush message kinds): a lost flush harms only performance, so flushes
+// are never tracked or retransmitted.
 func (n *node) sendFlush(dst int, kind, size int, data any) {
 	n.osCharge(n.clu.cm.SendCPU)
 	n.clu.net.Send(n.compute, dst, netsim.PortService, &netsim.Packet{Kind: kind, Size: size, Data: data})
@@ -791,7 +791,7 @@ func (n *node) awaitRelease(seq int) *barRelease {
 
 // iterationBoundary marks the end of one outer application iteration: the
 // barrier call-site counter resets and the protocol may change phase
-// (home migration after iteration 1, overdrive after LearnIters).
+// (home migration after iteration 1, overdrive after learnIters).
 func (n *node) iterationBoundary() {
 	n.iter++
 	n.siteIdx = 0
@@ -823,9 +823,14 @@ func (n *node) handleUpdateFlush(pkt *netsim.Packet) {
 	}
 }
 
+// updateWaitTimeout bounds how long a bar-u consumer waits inside the
+// barrier for update flushes when the network is lossy: generous relative
+// to any wire time, so it only fires for genuinely lost flushes.
+const updateWaitTimeout = 20 * sim.Millisecond
+
 // waitUpdates blocks (inside the barrier, per the paper) until the
 // expected number of update flush batches for epoch has arrived, or until
-// the loss timeout fires. It reports whether all batches arrived.
+// updateWaitTimeout fires. It reports whether all batches arrived.
 func (n *node) waitUpdates(epoch, expected int) bool {
 	n.expUpdates = expected
 	if n.bankBatches[epoch] >= expected {
@@ -836,7 +841,7 @@ func (n *node) waitUpdates(epoch, expected int) bool {
 	lossy := n.clu.faultsOn
 	if lossy {
 		n.waitSeq++
-		n.compute.Send(n.compute.ID(), n.clu.cfg.UpdateWaitTimeout, &netsim.Packet{
+		n.compute.Send(n.compute.ID(), updateWaitTimeout, &netsim.Packet{
 			Kind: mkUpdateTimeout, FromNode: n.id, Data: &updateTimeout{WaitSeq: n.waitSeq},
 		})
 	}

@@ -137,7 +137,7 @@ func (p *Proc) WaitFlag(flag int) {
 // IterationBoundary marks the end of one outer (time-step) iteration. The
 // protocols key their adaptive machinery to it: runtime home migration
 // triggers at the first boundary, overdrive (bar-s/bar-m) engages after
-// Config.LearnIters boundaries.
+// the second.
 func (p *Proc) IterationBoundary() { p.n.iterationBoundary() }
 
 // StartMeasure opens the statistics window. Call it immediately after a

@@ -20,7 +20,11 @@ import (
 // this many sends aborts the run (the plan partitioned the network).
 const maxSendAttempts = 64
 
-// backoffCap bounds the exponential backoff multiplier on RetryTimeout.
+// retryTimeout is the base retransmission timeout; it doubles per retry,
+// up to backoffCap times the base.
+const retryTimeout = 5 * sim.Millisecond
+
+// backoffCap bounds the exponential backoff multiplier on retryTimeout.
 const backoffCap = 128
 
 // dedupWindow is how many recent completed requests per origin a service
@@ -142,7 +146,7 @@ func (n *node) trackRequest(dst int, pkt *netsim.Packet) {
 		kind:    pkt.Kind,
 		size:    pkt.Size,
 		data:    pkt.Data,
-		timeout: n.clu.cfg.RetryTimeout,
+		timeout: retryTimeout,
 	}
 	rel.outstanding[pkt.Rid] = pr
 	n.armRetry(pkt.Rid, pr.timeout)
@@ -179,7 +183,7 @@ func (n *node) retryFire(pkt *netsim.Packet) {
 	n.osCharge(n.clu.cm.SendCPU)
 	n.clu.net.Send(n.compute, pr.dst, netsim.PortService,
 		&netsim.Packet{Kind: pr.kind, Size: pr.size, Rid: rid, Orig: n.id, Data: pr.data})
-	if pr.timeout < backoffCap*n.clu.cfg.RetryTimeout {
+	if pr.timeout < backoffCap*retryTimeout {
 		pr.timeout *= 2
 	}
 	n.armRetry(rid, pr.timeout)

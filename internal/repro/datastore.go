@@ -105,11 +105,7 @@ func (r *Runner) datastoreJob(s, write float64, proto core.ProtocolKind, staticH
 			if err != nil {
 				return nil, err
 			}
-			opts := apps.RunOpts{Model: r.Model}
-			if staticHome {
-				opts.Configure = func(c *core.Config) { c.DisableMigration = true }
-			}
-			rep, err := a.RunWith(procs, proto, opts)
+			rep, err := a.RunWith(procs, proto, apps.RunOpts{Model: r.Model, DisableMigration: staticHome})
 			if err != nil {
 				return nil, fmt.Errorf("repro: datastore s=%g w=%g under %v: %w", s, write, proto, err)
 			}

@@ -55,13 +55,7 @@ func (r *Runner) appProtoJob(a *apps.App, proto core.ProtocolKind, procs int) ru
 		proto: proto.String(),
 		procs: procs,
 		run: func() (*core.Report, error) {
-			var rep *core.Report
-			var err error
-			if proto == core.ProtoSeq {
-				rep, err = a.RunSeq(r.Model)
-			} else {
-				rep, err = a.Run(procs, proto, r.Model)
-			}
+			rep, err := a.RunWith(procs, proto, apps.RunOpts{Model: r.Model})
 			if err != nil {
 				return nil, fmt.Errorf("repro: %s under %v at %d procs: %w", a.Name, proto, procs, err)
 			}
@@ -81,10 +75,7 @@ func (r *Runner) stressJob(a *apps.App, proto core.ProtocolKind, coeff float64) 
 		if coeff == 0 {
 			m = cost.Ideal()
 		}
-		if proto == core.ProtoSeq {
-			return a.RunSeq(m)
-		}
-		return a.Run(r.Procs, proto, m)
+		return a.RunWith(r.Procs, proto, apps.RunOpts{Model: m})
 	}
 	return j
 }
@@ -96,10 +87,7 @@ func (r *Runner) pageSizeJob(a *apps.App, proto core.ProtocolKind, ps int) runJo
 	j.run = func() (*core.Report, error) {
 		m := cost.Default()
 		m.PageSize = ps
-		if proto == core.ProtoSeq {
-			return a.RunSeq(m)
-		}
-		return a.Run(r.Procs, proto, m)
+		return a.RunWith(r.Procs, proto, apps.RunOpts{Model: m})
 	}
 	return j
 }
@@ -109,17 +97,7 @@ func (r *Runner) staticHomeJob(a *apps.App) runJob {
 	j := r.appProtoJob(a, core.ProtoBarU, r.Procs)
 	j.key += "/static-home"
 	j.run = func() (*core.Report, error) {
-		m := r.Model
-		if m == nil {
-			m = cost.Default()
-		}
-		return core.Run(core.Config{
-			Procs:            r.Procs,
-			Protocol:         core.ProtoBarU,
-			SegmentBytes:     a.SegmentBytes,
-			Model:            m,
-			DisableMigration: true,
-		}, a.Body)
+		return a.RunWith(r.Procs, core.ProtoBarU, apps.RunOpts{Model: r.Model, DisableMigration: true})
 	}
 	return j
 }

@@ -85,7 +85,7 @@ func (r *Runner) scalingJob(name string, procs int, proto core.ProtocolKind, wor
 			rep, err := a.RunWith(procs, proto, apps.RunOpts{
 				Model:         r.Model,
 				KernelWorkers: workers,
-				Configure:     func(c *core.Config) { c.BarrierFanout = scalingFanout },
+				BarrierFanout: scalingFanout,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("repro: scaling %s under %v at %d nodes: %w", name, proto, procs, err)

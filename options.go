@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"godsm/internal/check"
+	"godsm/internal/core"
 )
 
 // An Option configures a run built by RunWith. Options are applied in
@@ -18,7 +19,7 @@ func WithProcs(n int) Option {
 }
 
 // WithProtocol selects the coherence protocol (default BarU, the paper's
-// best general protocol). Seq forces Procs to 1 at Run time.
+// best general protocol). Seq forces Procs to 1.
 func WithProtocol(k ProtocolKind) Option {
 	return func(c *Config) { c.Protocol = k }
 }
@@ -37,7 +38,7 @@ func WithModel(m *CostModel) Option {
 
 // WithFaults arms deterministic network fault injection and with it the
 // reliability layer. Build plans by hand (FaultPlan, FaultRule, AnyNode)
-// or use ConformancePlan / UpdateLossPlan.
+// or use ConformancePlan.
 func WithFaults(plan *FaultPlan) Option {
 	return func(c *Config) { c.Faults = plan }
 }
@@ -114,15 +115,18 @@ func WithConfig(fn func(*Config)) Option {
 //	    godsm.WithProtocol(godsm.BarU),
 //	    godsm.WithCheck())
 //
-// Defaults without options: 8 nodes, BarU, a 1 MiB segment, the paper's
-// cost model. This is the preferred entry point; Run with a literal
-// Config remains supported for callers that already hold one.
+// The body runs once per node (SPMD); all nodes must perform identical
+// Alloc and Barrier sequences. Defaults without options: 8 nodes, BarU, a
+// 1 MiB segment, the paper's cost model.
 func RunWith(body func(*Proc), opts ...Option) (*Report, error) {
 	return RunWithContext(context.Background(), body, opts...)
 }
 
-// RunWithContext is RunWith with cancellation, with the same semantics as
-// RunContext.
+// RunWithContext is RunWith with cancellation: when ctx is cancelled
+// mid-run the simulation stops at its next event and ctx's error is
+// returned. Cancellation is for shutting down (SIGINT on a sweep), not for
+// running many aborted simulations in a loop — a cancelled run's simulated
+// process goroutines stay parked until process exit.
 func RunWithContext(ctx context.Context, body func(*Proc), opts ...Option) (*Report, error) {
 	cfg := Config{Procs: 8, Protocol: BarU, SegmentBytes: 1 << 20}
 	for _, opt := range opts {
@@ -131,5 +135,5 @@ func RunWithContext(ctx context.Context, body func(*Proc), opts ...Option) (*Rep
 	if cfg.Protocol == Seq {
 		cfg.Procs = 1
 	}
-	return RunContext(ctx, cfg, body)
+	return core.RunContext(ctx, cfg, body)
 }
