@@ -327,11 +327,9 @@ func BenchmarkDiffCodec(b *testing.B) {
 // two frames that dominate real-transport traffic: a copyset update flush
 // (diff batch) and a full 8 KiB page reply. Encoding into a reused buffer
 // must allocate nothing — AppendFrame is on every remote send. Decoding
-// is zero-copy (payload bytes alias the frame) and pinned two ways: the
-// plain path at its residual slice-materialization cost (payload struct
-// and slice headers; the bytes themselves are never copied), and the
-// arena path (DecodeFrameArena) at exactly zero allocations per op once
-// its slabs are warm.
+// is zero-copy (payload bytes alias the frame) and pinned at its residual
+// slice-materialization cost (payload struct and slice headers; the bytes
+// themselves are never copied).
 func BenchmarkWireCodec(b *testing.B) {
 	old := make([]byte, 8192)
 	cur := make([]byte, 8192)
@@ -376,21 +374,6 @@ func BenchmarkWireCodec(b *testing.B) {
 				}
 			}); allocs > fr.decodeAllocs {
 				b.Fatalf("%s: decode allocates %.1f per op, want at most %.0f", name, allocs, fr.decodeAllocs)
-			}
-			// The arena path must be allocation-free in steady state:
-			// warm the slabs once, then every reset-decode cycle reuses
-			// them.
-			var arena wire.Arena
-			if _, _, _, err := wire.DecodeFrameArena(enc, &arena); err != nil {
-				b.Fatal(err)
-			}
-			if allocs := testing.AllocsPerRun(100, func() {
-				arena.Reset()
-				if _, _, _, err := wire.DecodeFrameArena(enc, &arena); err != nil {
-					b.Fatal(err)
-				}
-			}); allocs != 0 {
-				b.Fatalf("%s: arena decode allocates %.1f per op, want 0", name, allocs)
 			}
 			b.SetBytes(int64(len(enc)))
 			b.ReportAllocs()

@@ -308,7 +308,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		} else {
 			log = trace.New(*traceN)
 		}
-		opts.Trace = log
+		opts.Sinks = append(opts.Sinks, log)
 	}
 	var chrome *obs.ChromeSink
 	if *chromePath != "" {
@@ -334,7 +334,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	// A seq run with nothing to observe is the baseline already measured.
 	rep := seq
-	if proto != core.ProtoSeq || opts.Trace != nil || opts.Sinks != nil || opts.Timeline || opts.PageStats || opts.Metrics != nil {
+	if proto != core.ProtoSeq || opts.Sinks != nil || opts.Timeline || opts.PageStats || opts.Metrics != nil {
 		rep, err = app.RunWith(*procs, proto, opts)
 	}
 	if err != nil {

@@ -249,7 +249,7 @@ func (opts *Options) divergenceReport(body func(*core.Proc), proto core.Protocol
 	}
 	tl := trace.NewTail(opts.TailSize)
 	cfg := opts.config(proto, v.plan)
-	cfg.Trace = tl
+	cfg.Sinks = []trace.Sink{tl}
 	cfg.Check = nil // verdict already known; collect events only
 	_, _ = core.Run(cfg, body)
 	events := tl.Tail(opts.TailSize)
@@ -265,23 +265,4 @@ func pageSizeOf(opts *Options) int {
 		return opts.Model.PageSize
 	}
 	return cost.Default().PageSize
-}
-
-// SeedPlans builds one moderate drop/duplicate/reorder plan per seed,
-// applied to every packet class. Safe for all protocols: the overdrive
-// protocols (bar-s/bar-m) repair lost update flushes with stale
-// refetches. Options.Seeds routes through core.ConformancePlan instead,
-// which shields those flushes and so keeps the runs refetch-free.
-func SeedPlans(seeds ...int64) []*netsim.FaultPlan {
-	plans := make([]*netsim.FaultPlan, 0, len(seeds))
-	for _, s := range seeds {
-		plans = append(plans, &netsim.FaultPlan{
-			Seed: s,
-			Rules: []netsim.FaultRule{{
-				From: netsim.AnyNode, To: netsim.AnyNode,
-				Drop: 0.05, Dup: 0.05, Reorder: 0.2,
-			}},
-		})
-	}
-	return plans
 }

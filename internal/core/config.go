@@ -125,14 +125,12 @@ type Config struct {
 	// "consistency information ... can not be discarded without explicit
 	// garbage collection", and CVM-era systems ran it rarely.
 	LmwGCBarriers int
-	// Trace, when non-nil, records protocol events (faults, protection
-	// changes, diffs, barriers, lock transfers, migrations) with virtual
-	// timestamps. See internal/trace and cmd/dsmrun's -trace flag.
-	Trace *trace.Log
-	// Sinks receive every trace event alongside Trace: attach streaming
-	// exporters here (internal/obs's JSONL and Chrome trace_event sinks)
-	// to observe a run without bounding it in memory. The engine never
-	// closes sinks; flush them after Run returns.
+	// Sinks receive every protocol event (faults, protection changes,
+	// diffs, barriers, lock transfers, migrations) with its virtual
+	// timestamp, in order. Attach a bounded *trace.Log (cmd/dsmrun's
+	// -trace flag) or streaming exporters (internal/obs's JSONL and Chrome
+	// trace_event sinks). The engine never closes sinks; flush them after
+	// Run returns.
 	Sinks []trace.Sink
 	// Timeline, when set, snapshots every node's counters and time
 	// breakdown at each barrier completion and attaches the per-epoch

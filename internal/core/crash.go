@@ -62,14 +62,6 @@ func newCrashPlan(procs int, plan *netsim.FaultPlan) *crashPlan {
 	return cp
 }
 
-// deadAt reports whether node has crashed by the completion of barrier
-// seq (monotone: a restarted node still counts as having died — its
-// re-elected home roles are never returned).
-func (cp *crashPlan) deadAt(node, seq int) bool {
-	r := cp.rule[node]
-	return r != nil && seq >= r.Epoch
-}
-
 // absentAt reports whether node misses barrier seq entirely: it neither
 // arrives nor can receive the release. A node crashing at Epoch still
 // arrives at Epoch; with RestartAfter=0 it restarts in place and misses
@@ -81,17 +73,6 @@ func (cp *crashPlan) absentAt(node, seq int) bool {
 		return false
 	}
 	return !r.Restarts() || seq <= r.Epoch+r.RestartAfter
-}
-
-// missingAt counts nodes absent from barrier seq.
-func (cp *crashPlan) missingAt(seq int) int {
-	m := 0
-	for n := range cp.rule {
-		if cp.absentAt(n, seq) {
-			m++
-		}
-	}
-	return m
 }
 
 // reelectAt reports whether node's home roles and manager duties are

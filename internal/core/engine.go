@@ -40,9 +40,6 @@ type cluster struct {
 	cp   *crashPlan
 	ckpt *ckptStore
 
-	// sinks is the fan-out list every trace event goes to: cfg.Trace (if
-	// any) plus cfg.Sinks. Empty means tracing is off.
-	sinks []trace.Sink
 	// obsMu serializes cross-node observers (sinks, timeline) under a
 	// real transport, where nodes emit concurrently. Unused in sim mode.
 	obsMu sync.Mutex
@@ -195,10 +192,6 @@ func runContext(ctx context.Context, cfg Config, body func(*Proc)) (*Report, err
 		clu.net.EncodeInFlight()
 	}
 	clu.mgr = newBarMgr(clu)
-	if cfg.Trace != nil {
-		clu.sinks = append(clu.sinks, cfg.Trace)
-	}
-	clu.sinks = append(clu.sinks, cfg.Sinks...)
 	if cfg.Timeline {
 		clu.tc = obs.NewTimelineCollector(cfg.Procs)
 	}
@@ -207,7 +200,7 @@ func runContext(ctx context.Context, cfg Config, body func(*Proc)) (*Report, err
 		clu.doneSeen = make([]bool, cfg.Procs)
 		clu.doneLeft = cfg.Procs
 		clu.net.SetFaults(cfg.Faults)
-		if len(clu.sinks) > 0 {
+		if len(cfg.Sinks) > 0 {
 			clu.net.OnFault = clu.emitFault
 		}
 	}
@@ -528,7 +521,7 @@ func (n *node) trcSvc(kind trace.Kind, page int, arg int64) {
 // and any streaming exporters). Events reach sinks in global virtual-time
 // order because the simulation runs one process at a time.
 func (n *node) emitTrace(t sim.Time, kind trace.Kind, page int, arg int64) {
-	sinks := n.clu.sinks
+	sinks := n.clu.cfg.Sinks
 	if len(sinks) == 0 {
 		return
 	}
@@ -559,7 +552,7 @@ func (c *cluster) emitFault(t sim.Time, from, to, kind int, class netsim.FaultCl
 		c.obsMu.Lock()
 		defer c.obsMu.Unlock()
 	}
-	for _, s := range c.sinks {
+	for _, s := range c.cfg.Sinks {
 		s.Emit(e)
 	}
 }

@@ -203,7 +203,7 @@ func (l *lmw) grantLock(p *sim.Proc, pkt *netsim.Packet) {
 		}
 	}
 	g := &lockGrant{Lock: a.Lock, Seq: f.Seq, Intervals: ivs}
-	// Through the locked sink fan-out, not cfg.Trace directly: under a real
+	// Through the locked sink fan-out, not a sink directly: under a real
 	// transport grants fire concurrently with other nodes' emissions.
 	n.emitTrace(p.Now(), trace.LockGrant, a.From, int64(a.Lock))
 	if a.From != n.id {

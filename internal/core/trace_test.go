@@ -12,7 +12,7 @@ func TestTraceConsistentWithCounters(t *testing.T) {
 	for _, proto := range []ProtocolKind{ProtoLmwU, ProtoBarU, ProtoBarM} {
 		log := trace.New(1 << 20)
 		cfg := stencilConfig(4, proto)
-		cfg.Trace = log
+		cfg.Sinks = []trace.Sink{log}
 		r, err := Run(cfg, miniStencil(64, 128, 8, 5))
 		if err != nil {
 			t.Fatalf("%v: %v", proto, err)
@@ -51,7 +51,7 @@ func TestTraceConsistentWithCounters(t *testing.T) {
 func TestTraceLockEvents(t *testing.T) {
 	log := trace.New(1 << 16)
 	cfg := lockCfg(3, ProtoLmwI)
-	cfg.Trace = log
+	cfg.Sinks = []trace.Sink{log}
 	body := func(p *Proc) {
 		c := p.AllocF64(1)
 		p.Barrier()

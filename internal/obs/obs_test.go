@@ -66,8 +66,7 @@ func runInstrumented(t *testing.T) (*core.Report, *trace.Log, []byte, []byte) {
 		Procs:        4,
 		Protocol:     core.ProtoBarU,
 		SegmentBytes: 2 * 32 * 64 * 8,
-		Trace:        log,
-		Sinks:        []trace.Sink{js, cs},
+		Sinks:        []trace.Sink{log, js, cs},
 		Timeline:     true,
 		PageStats:    true,
 	}, miniStencil(32, 64, 6))

@@ -1,5 +1,5 @@
 // Package trace records protocol events with virtual timestamps. A Log
-// attached to a run (core.Config.Trace) captures what the DSM did and
+// attached to a run (one of core.Config.Sinks) captures what the DSM did and
 // when — faults, protection changes, diffs, barrier episodes, lock
 // transfers, migrations — for debugging protocols and for studying their
 // behaviour the way Figure 5 of the paper does.

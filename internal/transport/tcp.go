@@ -26,10 +26,8 @@ import (
 // reached, and the record carries its own length so the frame stays
 // fully opaque (the same contract as mem and udp).
 //
-// Sends reuse the udp backend's coalescing discipline: small frames
-// accumulate in a per-pair pending buffer flushed on size, a short
-// timer, or a large frame — here batching only amortizes write syscalls,
-// since TCP already guarantees delivery and order.
+// Send writes each record before it returns, like udp: nothing waits to
+// share a write with later frames.
 //
 // This backend binds 127.0.0.1 like udp, but nothing in it assumes
 // loopback: pointed at remote listener addresses, the same stream format
@@ -49,25 +47,17 @@ type tcpTransport struct {
 	started   bool
 }
 
-const (
-	// tcpBatchBytes flushes a pair's pending buffer once it holds this
-	// much; below it frames wait up to tcpFlushDelay for companions.
-	tcpBatchBytes = 60000
-	// tcpFlushDelay bounds how long a coalesced frame may wait before the
-	// batch is written anyway.
-	tcpFlushDelay = 100 * time.Microsecond
-	// tcpDialTimeout bounds the lazy connect; on loopback it is instant,
-	// across hosts a dead peer should fail fast rather than stall Send.
-	tcpDialTimeout = 5 * time.Second
-)
+// tcpDialTimeout bounds the lazy connect; on loopback it is instant,
+// across hosts a dead peer should fail fast rather than stall Send.
+const tcpDialTimeout = 5 * time.Second
 
 // tcpPeer is the write side of one ordered node pair: the persistent
-// connection (nil until first flush dials it) plus the pending batch.
+// connection (nil until the first write dials it) plus the reused record
+// build buffer.
 type tcpPeer struct {
-	mu    sync.Mutex
-	conn  net.Conn
-	pend  []byte
-	timer *time.Timer
+	mu   sync.Mutex
+	conn net.Conn
+	buf  []byte
 }
 
 func newTCP(nodes, ports int) (*tcpTransport, error) {
@@ -160,7 +150,7 @@ func (t *tcpTransport) acceptLoop(ln net.Listener, node int, deliver DeliverFunc
 // readPump decodes [port][length][frame] records off one connection and
 // delivers each frame. Any stream error — including a malformed record,
 // which on a reliable stream means a peer bug rather than line noise —
-// drops the connection; the writer redials on its next flush.
+// drops the connection; the writer redials on its next Send.
 func (t *tcpTransport) readPump(c net.Conn, node int, deliver DeliverFunc) {
 	defer c.Close()
 	br := bufio.NewReaderSize(c, 64<<10)
@@ -197,36 +187,18 @@ func (t *tcpTransport) Send(from, to Addr, frame []byte) error {
 	p := t.peers[from.Node*t.nodes+to.Node]
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.pend = append(p.pend, byte(to.Port))
-	p.pend = binary.AppendUvarint(p.pend, uint64(len(frame)))
-	p.pend = append(p.pend, frame...)
-	if len(p.pend) >= tcpBatchBytes {
-		return t.flushLocked(p, to.Node)
-	}
-	if p.timer == nil {
-		p.timer = time.AfterFunc(tcpFlushDelay, func() {
-			p.mu.Lock()
-			defer p.mu.Unlock()
-			p.timer = nil
-			_ = t.flushLocked(p, to.Node)
-		})
-	}
-	return nil
+	p.buf = append(p.buf[:0], byte(to.Port))
+	p.buf = binary.AppendUvarint(p.buf, uint64(len(frame)))
+	p.buf = append(p.buf, frame...)
+	return t.writeLocked(p, to.Node)
 }
 
-// flushLocked writes the pair's pending records, dialing the peer's
-// listener on first use or after a dropped connection. A dial or write
-// failure discards the batch and the connection — on a cross-host
-// deployment that is loss for the reliability layer to absorb; on
-// loopback it only happens at teardown. Caller holds p.mu.
-func (t *tcpTransport) flushLocked(p *tcpPeer, toNode int) error {
-	if p.timer != nil {
-		p.timer.Stop()
-		p.timer = nil
-	}
-	if len(p.pend) == 0 {
-		return nil
-	}
+// writeLocked writes the record in p.buf, dialing the peer's listener on
+// first use or after a dropped connection. A dial or write failure
+// discards the record and the connection — on a cross-host deployment
+// that is loss for the reliability layer to absorb; on loopback it only
+// happens at teardown. Caller holds p.mu.
+func (t *tcpTransport) writeLocked(p *tcpPeer, toNode int) error {
 	select {
 	case <-t.closed:
 		return fmt.Errorf("transport: tcp closed")
@@ -236,7 +208,6 @@ func (t *tcpTransport) flushLocked(p *tcpPeer, toNode int) error {
 		c, err := net.DialTimeout("tcp", t.laddrs[toNode], tcpDialTimeout)
 		if err != nil {
 			t.writeErrs.Inc()
-			p.pend = p.pend[:0]
 			return nil
 		}
 		if tc, ok := c.(*net.TCPConn); ok {
@@ -244,9 +215,7 @@ func (t *tcpTransport) flushLocked(p *tcpPeer, toNode int) error {
 		}
 		p.conn = c
 	}
-	_, err := p.conn.Write(p.pend)
-	p.pend = p.pend[:0]
-	if err != nil {
+	if _, err := p.conn.Write(p.buf); err != nil {
 		t.writeErrs.Inc()
 		p.conn.Close()
 		p.conn = nil
@@ -268,15 +237,11 @@ func (t *tcpTransport) Close() error {
 			continue
 		}
 		p.mu.Lock()
-		if p.timer != nil {
-			p.timer.Stop()
-			p.timer = nil
-		}
 		if p.conn != nil {
 			_ = p.conn.Close()
 			p.conn = nil
 		}
-		p.pend = nil
+		p.buf = nil
 		p.mu.Unlock()
 	}
 	t.mu.Lock()

@@ -209,7 +209,7 @@ func TestTCPBasicDelivery(t *testing.T) { testBasicDelivery(t, KindTCP) }
 func TestTCPSendCopies(t *testing.T)    { testSendCopies(t, KindTCP) }
 func TestTCPBadAddress(t *testing.T)    { testBadAddress(t, KindTCP) }
 
-// tcp preserves per-pair ordering across batch flushes and delivers
+// tcp preserves per-pair ordering across many small writes and delivers
 // everything, like mem.
 func TestTCPOrderedDelivery(t *testing.T) {
 	tr, err := New(KindTCP, 2, 1)
@@ -237,8 +237,9 @@ func TestTCPOrderedDelivery(t *testing.T) {
 	}
 }
 
-// A frame near the size ceiling crosses the stream in one piece, and
-// interleaves correctly with coalesced small frames.
+// A frame larger than the receiver's 64 KiB read buffer crosses the
+// stream in one piece, and interleaves correctly with a small frame to
+// another port.
 func TestTCPLargeFrame(t *testing.T) {
 	tr, err := New(KindTCP, 1, 2)
 	if err != nil {
@@ -251,7 +252,7 @@ func TestTCPLargeFrame(t *testing.T) {
 	}
 	src := Addr{}
 	big := Addr{Port: 1}
-	want := make([]byte, tcpBatchBytes*3)
+	want := make([]byte, 180000)
 	for i := range want {
 		want[i] = byte(i * 31)
 	}

@@ -26,19 +26,16 @@ import (
 // keyed by (sender address, seq) with bounded eviction, so a lost
 // fragment costs the whole frame (the retransmit path recovers it).
 //
-// Small frames are not sent one per datagram: Send coalesces them into a
-// per-destination batch flushed on size, a short timer, or the next large
-// frame to the same destination. A batch datagram reuses the fragment
-// header with count == 0 as the sentinel (previously an invalid header,
-// so old receivers drop it) and carries length-prefixed whole frames:
-//
-//	uvarint seq | uvarint 0 | uvarint 0 | (uvarint frameLen | frame)...
+// Send writes every frame before it returns: a frame that fits one
+// datagram goes out as a single fragment with count == 1. Nothing is held
+// back to share a datagram, because the DSM's exchanges are blocking
+// request/reply pairs whose latency sets the run time.
 type udpTransport struct {
 	nodes, ports int
 	conns        []*net.UDPConn // index: node*ports + port
 	addrs        []*net.UDPAddr
 	seq          []atomic.Uint64 // per-sender fragment sequence
-	send         []*sendState    // per-sender batching + scratch state
+	send         []*sendState    // per-sender write lock + scratch datagram
 	readErrs     *metrics.Counter
 	wg           sync.WaitGroup
 	closeOnce    sync.Once
@@ -57,13 +54,6 @@ const (
 	// udpReadBuffer asks the kernel for enough socket buffer to ride out
 	// bursts; best effort.
 	udpReadBuffer = 4 << 20
-	// udpBatchMax: frames strictly smaller than this are coalesced into
-	// per-destination batch datagrams instead of going out one per
-	// datagram. Anything larger takes the fragment path immediately.
-	udpBatchMax = 4096
-	// udpFlushDelay bounds how long a batched frame may wait for
-	// companions before the batch is flushed anyway.
-	udpFlushDelay = 100 * time.Microsecond
 	// udpBackoffMin/Max bound the sleep between reads after a persistent
 	// (non-closure) socket error, so a broken socket cannot hot-spin the
 	// pump at 100% CPU.
@@ -72,18 +62,10 @@ const (
 )
 
 // sendState serializes one sender endpoint's socket writes and holds its
-// reusable scratch datagram plus the per-destination pending batches.
+// reusable scratch datagram.
 type sendState struct {
 	mu      sync.Mutex
-	scratch []byte       // reused datagram build buffer
-	pend    []*pendBatch // indexed by destination endpoint
-}
-
-// pendBatch accumulates length-prefixed small frames bound for one
-// destination until the batch is flushed.
-type pendBatch struct {
-	buf   []byte
-	timer *time.Timer
+	scratch []byte // reused datagram build buffer
 }
 
 func newUDP(nodes, ports int) (*udpTransport, error) {
@@ -105,7 +87,7 @@ func newUDP(nodes, ports int) (*udpTransport, error) {
 		_ = conn.SetReadBuffer(udpReadBuffer)
 		t.conns[i] = conn
 		t.addrs[i] = conn.LocalAddr().(*net.UDPAddr)
-		t.send[i] = &sendState{pend: make([]*pendBatch, nodes*ports)}
+		t.send[i] = &sendState{}
 	}
 	return t, nil
 }
@@ -140,13 +122,13 @@ type assembly struct {
 }
 
 // reassembler turns raw datagrams back into frames: it parses fragment
-// headers, reassembles multi-fragment frames with bounded state, splits
-// batch datagrams into their member frames, and rejects the malformed —
-// truncated headers, oversized fragment counts (bounded by maxFrags so a
-// corrupt datagram cannot demand a gigabyte allocation), duplicates, and
-// fragments of frames already completed (seq at or below the sender's
-// last completed seq would otherwise re-create an assembly entry that can
-// never complete and squats in the table until eviction).
+// headers, reassembles multi-fragment frames with bounded state, and
+// rejects the malformed — truncated headers, zero or oversized fragment
+// counts (bounded by maxFrags so a corrupt datagram cannot demand a
+// gigabyte allocation), duplicates, and fragments of frames already
+// completed (seq at or below the sender's last completed seq would
+// otherwise re-create an assembly entry that can never complete and
+// squats in the table until eviction).
 //
 // It is not safe for concurrent use; each receive pump owns one.
 type reassembler struct {
@@ -168,10 +150,9 @@ func newReassembler(maxFrags int) *reassembler {
 }
 
 // ingest parses one datagram from sender, calling emit once per completed
-// frame. Emitted slices are freshly allocated (or subslices of one fresh
-// allocation for a batch) and owned by the callee. Malformed datagrams
-// are dropped silently — on a lossy transport they are indistinguishable
-// from loss, which the reliability layer absorbs.
+// frame. Emitted slices are freshly allocated and owned by the callee.
+// Malformed datagrams are dropped silently — on a lossy transport they
+// are indistinguishable from loss, which the reliability layer absorbs.
 func (r *reassembler) ingest(sender string, b []byte, emit func([]byte)) {
 	seq, w := binary.Uvarint(b)
 	if w <= 0 {
@@ -188,25 +169,6 @@ func (r *reassembler) ingest(sender string, b []byte, emit func([]byte)) {
 		return
 	}
 	b = b[w:]
-	if count == 0 {
-		// Batch sentinel: the payload is whole small frames, each
-		// length-prefixed. One copy backs every member frame; the
-		// transport never touches the copy again.
-		if idx != 0 {
-			return
-		}
-		batch := make([]byte, len(b))
-		copy(batch, b)
-		for len(batch) > 0 {
-			l, w := binary.Uvarint(batch)
-			if w <= 0 || l > uint64(len(batch)-w) {
-				return // truncated or corrupt record: drop the remainder
-			}
-			emit(batch[w : w+int(l) : w+int(l)])
-			batch = batch[w+int(l):]
-		}
-		return
-	}
 	if idx >= count || count > r.maxFrags {
 		return // corrupt header
 	}
@@ -348,66 +310,7 @@ func (t *udpTransport) Send(from, to Addr, frame []byte) error {
 	st := t.send[fi]
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if len(frame) >= udpBatchMax {
-		// Preserve per-destination order: anything batched for this
-		// destination goes out before the large frame.
-		if err := t.flushLocked(st, fi, ti); err != nil {
-			return err
-		}
-		return t.writeFragmentsLocked(st, fi, ti, frame)
-	}
-	pb := st.pend[ti]
-	if pb == nil {
-		pb = &pendBatch{}
-		st.pend[ti] = pb
-	}
-	if len(pb.buf) > 0 && len(pb.buf)+binary.MaxVarintLen64+len(frame) > udpFragSize {
-		if err := t.flushLocked(st, fi, ti); err != nil {
-			return err
-		}
-	}
-	pb.buf = binary.AppendUvarint(pb.buf, uint64(len(frame)))
-	pb.buf = append(pb.buf, frame...)
-	if pb.timer == nil {
-		pb.timer = time.AfterFunc(udpFlushDelay, func() {
-			st.mu.Lock()
-			defer st.mu.Unlock()
-			_ = t.flushLocked(st, fi, ti)
-		})
-	}
-	return nil
-}
-
-// flushLocked sends the pending batch for (fi → ti), if any, as one
-// count==0 datagram built in the sender's reused scratch buffer. Caller
-// holds st.mu.
-func (t *udpTransport) flushLocked(st *sendState, fi, ti int) error {
-	pb := st.pend[ti]
-	if pb == nil {
-		return nil
-	}
-	if pb.timer != nil {
-		pb.timer.Stop()
-		pb.timer = nil
-	}
-	if len(pb.buf) == 0 {
-		return nil
-	}
-	seq := t.seq[fi].Add(1)
-	st.scratch = binary.AppendUvarint(st.scratch[:0], seq)
-	st.scratch = binary.AppendUvarint(st.scratch, 0) // idx
-	st.scratch = binary.AppendUvarint(st.scratch, 0) // count == 0: batch sentinel
-	st.scratch = append(st.scratch, pb.buf...)
-	pb.buf = pb.buf[:0]
-	if _, err := t.conns[fi].WriteToUDP(st.scratch, t.addrs[ti]); err != nil {
-		// A full socket buffer manifests as an error on some kernels;
-		// semantically it is packet loss, which the reliability layer
-		// absorbs. Only closure is fatal.
-		if errors.Is(err, net.ErrClosed) {
-			return err
-		}
-	}
-	return nil
+	return t.writeFragmentsLocked(st, fi, ti, frame)
 }
 
 // writeFragmentsLocked sends frame as one or more fragment datagrams,
@@ -431,6 +334,9 @@ func (t *udpTransport) writeFragmentsLocked(st *sendState, fi, ti int, frame []b
 		st.scratch = binary.AppendUvarint(st.scratch, count)
 		st.scratch = append(st.scratch, frame[lo:hi]...)
 		if _, err := conn.WriteToUDP(st.scratch, dst); err != nil {
+			// A full socket buffer manifests as an error on some kernels;
+			// semantically it is packet loss, which the reliability layer
+			// absorbs. Only closure is fatal.
 			if errors.Is(err, net.ErrClosed) {
 				return err
 			}
@@ -443,19 +349,6 @@ func (t *udpTransport) MaxFrame() int { return wire.MaxFrameLen + wire.FrameLenS
 
 func (t *udpTransport) Close() error {
 	t.closeOnce.Do(func() { close(t.closed) })
-	for _, st := range t.send {
-		if st == nil {
-			continue
-		}
-		st.mu.Lock()
-		for _, pb := range st.pend {
-			if pb != nil && pb.timer != nil {
-				pb.timer.Stop()
-				pb.timer = nil
-			}
-		}
-		st.mu.Unlock()
-	}
 	for _, c := range t.conns {
 		if c != nil {
 			_ = c.Close()

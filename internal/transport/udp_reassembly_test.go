@@ -17,18 +17,6 @@ func fragDatagram(seq, idx, count uint64, payload []byte) []byte {
 	return append(d, payload...)
 }
 
-// batchDatagram builds one count==0 batch datagram as flushLocked does.
-func batchDatagram(seq uint64, frames ...[]byte) []byte {
-	d := binary.AppendUvarint(nil, seq)
-	d = binary.AppendUvarint(d, 0)
-	d = binary.AppendUvarint(d, 0)
-	for _, f := range frames {
-		d = binary.AppendUvarint(d, uint64(len(f)))
-		d = append(d, f...)
-	}
-	return d
-}
-
 func testMaxFrags() int { return (wireMaxFrame())/udpFragSize + 1 }
 
 func wireMaxFrame() int {
@@ -151,33 +139,21 @@ func TestReassemblerCompletionPrunesOlder(t *testing.T) {
 	}
 }
 
-func TestReassemblerBatchSplit(t *testing.T) {
+// A datagram with a zero fragment count is malformed: no frame has zero
+// fragments, so it emits nothing and leaves nothing pending.
+func TestReassemblerRejectsCountZero(t *testing.T) {
 	r := newReassembler(testMaxFrags())
 	var got [][]byte
 	emit := func(f []byte) { got = append(got, f) }
-	frames := [][]byte{[]byte("alpha"), []byte(""), []byte("gamma-gamma")}
-	r.ingest("s", batchDatagram(1, frames...), emit)
-	if len(got) != 3 {
-		t.Fatalf("batch split into %d frames, want 3", len(got))
+	for _, dg := range [][]byte{
+		fragDatagram(1, 0, 0, nil),
+		fragDatagram(2, 0, 0, []byte{4, 'g', 'o', 'o', 'd'}),
+		fragDatagram(3, 1, 0, []byte("x")),
+	} {
+		r.ingest("s", dg, emit)
 	}
-	for i := range frames {
-		if !bytes.Equal(got[i], frames[i]) {
-			t.Fatalf("frame %d = %q, want %q", i, got[i], frames[i])
-		}
-	}
-}
-
-func TestReassemblerBatchCorruptRecord(t *testing.T) {
-	r := newReassembler(testMaxFrags())
-	var got [][]byte
-	emit := func(f []byte) { got = append(got, f) }
-	// Second record claims more bytes than remain: first delivered, rest dropped.
-	dg := batchDatagram(1, []byte("good"))
-	dg = binary.AppendUvarint(dg, 1000)
-	dg = append(dg, []byte("short")...)
-	r.ingest("s", dg, emit)
-	if len(got) != 1 || string(got[0]) != "good" {
-		t.Fatalf("got %q, want only \"good\"", got)
+	if len(got) != 0 || len(r.pending) != 0 {
+		t.Fatalf("count-0 datagram accepted: emitted=%q pending=%d", got, len(r.pending))
 	}
 }
 
@@ -220,10 +196,9 @@ func TestUDPExactMultipleOfFragSize(t *testing.T) {
 	}
 }
 
-// Many small frames to one destination all arrive (coalesced into batch
-// datagrams under the hood) and a large frame to the same destination
-// does not overtake previously-queued small ones at the sender.
-func TestUDPSmallFrameBatching(t *testing.T) {
+// Many small frames to one destination all arrive, one datagram each,
+// alongside a multi-fragment frame sent after them.
+func TestUDPManySmallFrames(t *testing.T) {
 	tr, err := New(KindUDP, 2, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -241,7 +216,7 @@ func TestUDPSmallFrameBatching(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		big := make([]byte, udpBatchMax+100)
+		big := make([]byte, udpFragSize+100)
 		if err := tr.Send(src, dst, big); err != nil {
 			t.Fatal(err)
 		}
@@ -291,7 +266,7 @@ func FuzzUDPReassembly(f *testing.F) {
 		fragDatagram(1, 0, 2, []byte("late dup")),
 	))
 	f.Add(stream(fragDatagram(1, 0, 1<<40, []byte("huge count"))))
-	f.Add(stream(batchDatagram(1, []byte("a"), []byte("bb"), []byte("ccc"))))
+	f.Add(stream(fragDatagram(1, 0, 0, []byte{1, 'a', 2, 'b', 'b'})))
 	f.Add(stream(
 		fragDatagram(2, 1, 3, []byte("ooo")),
 		fragDatagram(2, 0, 3, []byte("ooo")),

@@ -230,11 +230,6 @@ func Hash64(b []byte) uint64 {
 	return h
 }
 
-// PageChecksum returns the content digest of page pg's current local copy.
-func (as *AddressSpace) PageChecksum(pg PageID) uint64 {
-	return Hash64(as.Page(pg))
-}
-
 // --- page buffer pool --------------------------------------------------------
 
 // pageBufPool recycles page-sized buffers — twins and full-page snapshots.
@@ -456,18 +451,6 @@ func (d Diff) AppendEncode(buf []byte) []byte {
 // the matching rule on senders.) A validation pass runs first, so corrupt
 // input returns an error before any allocation.
 func DecodeDiff(buf []byte) (Diff, error) {
-	return decodeDiff(buf, nil)
-}
-
-// DecodeDiffArena is DecodeDiff with the run headers bump-allocated from
-// a, making steady-state decoding allocation-free. Payloads alias buf
-// exactly as in DecodeDiff; the returned diff is only valid until
-// a.Reset.
-func DecodeDiffArena(buf []byte, a *DiffArena) (Diff, error) {
-	return decodeDiff(buf, a)
-}
-
-func decodeDiff(buf []byte, a *DiffArena) (Diff, error) {
 	if len(buf) < 6 {
 		return Diff{}, fmt.Errorf("vm: diff truncated header (%d bytes)", len(buf))
 	}
@@ -489,11 +472,7 @@ func decodeDiff(buf []byte, a *DiffArena) (Diff, error) {
 	if n == 0 {
 		return d, nil
 	}
-	if a != nil {
-		d.runs = a.allocRuns(n)
-	} else {
-		d.runs = make([]run, n)
-	}
+	d.runs = make([]run, n)
 	p = 6
 	for i := 0; i < n; i++ {
 		off := binary.LittleEndian.Uint16(buf[p:])

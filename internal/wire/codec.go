@@ -22,9 +22,8 @@ import (
 // average longer.
 
 type dec struct {
-	b     []byte
-	arena *Arena // nil: slices come from the heap
-	err   error
+	b   []byte
+	err error
 }
 
 func (d *dec) fail(format string, args ...any) {
@@ -152,12 +151,7 @@ func (d *dec) ints() []int {
 	if n == 0 || d.err != nil {
 		return nil
 	}
-	var out []int
-	if d.arena != nil {
-		out = arenaSlice(&d.arena.ints, n)
-	} else {
-		out = make([]int, n)
-	}
+	out := make([]int, n)
 	for i := range out {
 		out[i] = d.int()
 	}
@@ -213,13 +207,7 @@ func (d *dec) diff() vm.Diff {
 	if d.err != nil {
 		return vm.Diff{}
 	}
-	var diff vm.Diff
-	var err error
-	if d.arena != nil {
-		diff, err = vm.DecodeDiffArena(sub, &d.arena.Diffs)
-	} else {
-		diff, err = vm.DecodeDiff(sub)
-	}
+	diff, err := vm.DecodeDiff(sub)
 	if err != nil {
 		d.fail("diff: %v", err)
 		return vm.Diff{}
@@ -250,12 +238,7 @@ func (d *dec) notices() []WriteNotice {
 	if n == 0 || d.err != nil {
 		return nil
 	}
-	var out []WriteNotice
-	if d.arena != nil {
-		out = arenaSlice(&d.arena.notices, n)
-	} else {
-		out = make([]WriteNotice, n)
-	}
+	out := make([]WriteNotice, n)
 	for i := range out {
 		out[i] = d.notice()
 	}
@@ -305,12 +288,7 @@ func (d *dec) diffMsgs() []DiffMsg {
 	if n == 0 || d.err != nil {
 		return nil
 	}
-	var out []DiffMsg
-	if d.arena != nil {
-		out = arenaSlice(&d.arena.diffMsgs, n)
-	} else {
-		out = make([]DiffMsg, n)
-	}
+	out := make([]DiffMsg, n)
 	for i := range out {
 		out[i] = DiffMsg{Notice: d.notice(), Diff: d.diff()}
 	}
@@ -331,12 +309,7 @@ func (d *dec) versions() []PageVersion {
 	if n == 0 || d.err != nil {
 		return nil
 	}
-	var out []PageVersion
-	if d.arena != nil {
-		out = arenaSlice(&d.arena.versions, n)
-	} else {
-		out = make([]PageVersion, n)
-	}
+	out := make([]PageVersion, n)
 	for i := range out {
 		out[i] = PageVersion{Page: d.pageID(), Version: d.uint32()}
 	}

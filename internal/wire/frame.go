@@ -82,10 +82,6 @@ func AppendFrame(buf []byte, h *Header, data any) ([]byte, error) {
 // payloads in the returned message alias b, so the caller must not mutate
 // or recycle b while the message is live.
 func DecodeFrame(b []byte) (Header, any, int, error) {
-	return decodeFrame(b, nil)
-}
-
-func decodeFrame(b []byte, a *Arena) (Header, any, int, error) {
 	var h Header
 	if len(b) < FrameLenSize {
 		return h, nil, 0, fmt.Errorf("wire: truncated frame length prefix")
@@ -117,7 +113,7 @@ func decodeFrame(b []byte, a *Arena) (Header, any, int, error) {
 	if !KindValid(h.Kind) {
 		return h, nil, 0, fmt.Errorf("wire: unknown message kind %d", h.Kind)
 	}
-	data, err := DecodeMessageArena(h.Kind, d.b, a)
+	data, err := DecodeMessage(h.Kind, d.b)
 	if err != nil {
 		return h, nil, 0, err
 	}
